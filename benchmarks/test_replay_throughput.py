@@ -300,7 +300,7 @@ def partitioned_cluster_workload():
     return merged
 
 
-def _cluster_replay_config(*, sharded_loop: bool, parallel: bool):
+def _cluster_replay_config(*, parallel: bool):
     config = cluster_config(
         nodes=CLUSTER_NODES,
         scale=0.001,
@@ -316,7 +316,6 @@ def _cluster_replay_config(*, sharded_loop: bool, parallel: bool):
         cluster=replace(
             config.cluster,
             client_entry="home",
-            sharded_loop=sharded_loop,
             parallel=parallel,
         ),
     )
@@ -344,11 +343,10 @@ def _cluster_leg(result, wall, cpu):
 
 
 def run_cluster_replay_benchmarks():
-    """The three execution modes of the same 4-node replay.
+    """The two execution modes of the same 4-node replay.
 
-    ``sequential`` is the single global event heap (node-merge policy),
-    ``sharded`` the per-node sub-queues in one process (Stage A), and
-    ``parallel`` one worker process per node (Stage B).  All three produce
+    ``sequential`` is the one event loop (node-merge policy) in one
+    process, ``parallel`` one worker process per node.  Both produce
     identical simulation results; the parallel leg additionally reports its
     critical path — the largest per-worker CPU time, i.e. the wall-clock
     the replay takes once every worker has its own core.  On boxes with
@@ -360,13 +358,10 @@ def run_cluster_replay_benchmarks():
     trace = partitioned_cluster_workload()
 
     sequential, seq_wall, seq_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=False, parallel=False), trace
-    )
-    sharded, shard_wall, shard_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=True, parallel=False), trace
+        _cluster_replay_config(parallel=False), trace
     )
     parallel, par_wall, par_cpu = _timed_replay(
-        _cluster_replay_config(sharded_loop=True, parallel=True), trace
+        _cluster_replay_config(parallel=True), trace
     )
 
     stats = parallel.parallel_stats
@@ -376,7 +371,6 @@ def run_cluster_replay_benchmarks():
         "trace_ops": len(trace),
         "cpu_count": os.cpu_count(),
         "sequential": _cluster_leg(sequential, seq_wall, seq_cpu),
-        "sharded": _cluster_leg(sharded, shard_wall, shard_cpu),
         "parallel": dict(
             _cluster_leg(parallel, par_wall, par_cpu),
             workers=stats["workers"],
@@ -386,14 +380,13 @@ def run_cluster_replay_benchmarks():
             },
             critical_path_seconds=round(critical_path, 3),
         ),
-        "speedup_sharded": round(seq_cpu / shard_cpu, 2),
         "speedup_parallel_critical_path": round(seq_cpu / critical_path, 2),
     }
-    return section, sequential, sharded, parallel
+    return section, sequential, parallel
 
 
 def test_parallel_cluster_replay(benchmark):
-    section, sequential, sharded, parallel = run_once(
+    section, sequential, parallel = run_once(
         benchmark, run_cluster_replay_benchmarks
     )
 
@@ -405,7 +398,7 @@ def test_parallel_cluster_replay(benchmark):
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     print()
-    for leg in ("sequential", "sharded", "parallel"):
+    for leg in ("sequential", "parallel"):
         row = section[leg]
         print(
             f"{leg:<11} wall={row['elapsed_seconds']:>6.2f}s "
@@ -418,17 +411,15 @@ def test_parallel_cluster_replay(benchmark):
         f"{section['parallel']['workers']} workers (cpu_count={section['cpu_count']})"
     )
     print(
-        f"speedup: sharded {section['speedup_sharded']}x, "
-        f"parallel critical-path {section['speedup_parallel_critical_path']}x "
+        f"speedup: parallel critical-path {section['speedup_parallel_critical_path']}x "
         f"-> {RESULT_PATH.name}"
     )
 
-    # Unchanged simulated-time results across all three execution modes.
+    # Unchanged simulated-time results across both execution modes.
     # Beyond the recorder's exact-replay window the merged mean is a sum of
     # per-node partial sums, so float summation *order* differs from the
     # sequential stream — everything else (simulated time, counts, blocks)
     # must match exactly, the means to the last few ulps.
-    assert sequential.summary() == sharded.summary()
     seq_summary = sequential.summary()
     par_summary = parallel.summary()
     float_keys = {

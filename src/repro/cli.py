@@ -18,9 +18,8 @@ benchmarks agree on what "the full machine" means.
 Cluster replays additionally take the parallel-execution flags:
 
 * ``--nodes N`` — replay on an N-node cluster instead of one machine.
-* ``--parallel`` — run each node's event sub-queue in its own worker
-  process (Stage B of the sharded scheduler); results are byte-identical
-  to the sequential replay.
+* ``--parallel`` — replay each node's share of the trace in its own worker
+  process; results are byte-identical to the sequential replay.
 * ``--jobs N`` — cap the number of concurrent worker processes (0, the
   default, means one per node); implies ``--parallel``.
 

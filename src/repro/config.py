@@ -426,14 +426,9 @@ class ClusterConfig:
     metadata_latency: float = 0.0002
     #: bandwidth of the metadata device, bytes per second.
     metadata_bandwidth: float = 20 * MB
-    #: shard the event loop by node (per-node sub-queues with a deterministic
-    #: cross-node merge).  Always safe with ``nodes > 1``: the schedule is a
-    #: pure function of the workload either way.  ``False`` keeps the single
-    #: global heap (the sequential reference the sharded loop is pinned to).
-    sharded_loop: bool = True
-    #: run each node's sub-queue in a worker process (``core.parallel``);
-    #: requires a node-partitioned workload (``client_entry="home"``, the
-    #: ``node`` placement, rebalancing off).
+    #: replay each node's share of the trace in a worker process
+    #: (``core.parallel``); requires a node-partitioned workload
+    #: (``client_entry="home"``, the ``node`` placement, rebalancing off).
     parallel: bool = False
     #: worker-process cap for ``parallel`` runs; 0 = one worker per node.
     jobs: int = 0
@@ -470,8 +465,6 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"unknown client_entry {self.client_entry!r} (want 'front-end' or 'home')"
             )
-        if self.parallel and not self.sharded_loop:
-            raise ConfigurationError("parallel replay requires the sharded event loop")
         if self.network_bandwidth <= 0:
             raise ConfigurationError("network bandwidth must be positive")
         if self.network_latency < 0 or self.nic_overhead < 0:

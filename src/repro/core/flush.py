@@ -66,7 +66,7 @@ class FlushPolicy(ABC):
         self.wakeups_coalesced = 0
         #: blocks flushed ahead of demand to restock the free-block pool.
         self.flush_ahead_blocks = 0
-        #: cluster node whose sub-queue runs this policy's daemons.
+        #: cluster node this policy's daemons run on.
         self.node = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -75,7 +75,8 @@ class FlushPolicy(ABC):
         """Connect the policy to a cache and start its service threads.
 
         ``node`` tags the daemons with the cluster node that owns the cache,
-        so a sharded or parallel replay runs them on that node's sub-queue.
+        so the node-merge order and a parallel replay's per-node workers
+        place them with that node's threads.
         """
         self.cache = cache
         self.scheduler = scheduler

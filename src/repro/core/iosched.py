@@ -57,8 +57,14 @@ class IoScheduler(ABC):
         """Remove and return the next request to service (None if empty)."""
 
     def _take(self, request: "IORequest") -> "IORequest":
-        self._pending.remove(request)
-        return request
+        # By identity: ``list.remove`` would call the dataclass ``__eq__``
+        # (every field) on each earlier request, and request ids are unique.
+        pending = self._pending
+        for index, queued in enumerate(pending):
+            if queued is request:
+                del pending[index]
+                return request
+        raise ValueError(f"{request!r} is not queued")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(pending={len(self._pending)})"

@@ -1,10 +1,11 @@
 """``ParallelReplayExecutor``: per-node worker processes for trace replay.
 
-The sharded event loop (:class:`~repro.core.scheduler.ShardedScheduler`)
-already orders execution by ``(time, node, per-node sequence)`` — a
-deterministic merge of per-node streams.  On a *partitioned* workload the
-streams never interact, so each node's stream can be produced by its own
-worker process and the merge applied to the results instead of the events:
+A multi-node stack's event loop runs under
+:class:`~repro.core.scheduler.NodeMergeSchedulingPolicy`, which orders
+execution by ``(time, node, arrival)`` — a deterministic merge of per-node
+streams.  On a *partitioned* workload the streams never interact, so each
+node's stream can be produced by its own worker process (running the same
+loop) and the merge applied to the results instead of the events:
 
 * every worker builds the **full identical stack** from the same spec (same
   mount, same namespace-setup phase, same daemon spawn order), so inode
@@ -14,7 +15,7 @@ worker process and the merge applied to the results instead of the events:
   clients touch only node ``k``'s volumes, caches and daemons — node ``j``'s
   sub-schedule is byte-for-byte independent of node ``k``'s;
 * completions are merged by ``(completion time, node, per-node position)``,
-  the exact tie-break the sharded scheduler uses, so the merged recorder is
+  the exact tie-break of the node-merge policy, so the merged recorder is
   bit-identical to the sequential one while the run fits the exact window.
 
 The *conservative window* of the sequential loop becomes a two-phase end
@@ -88,7 +89,6 @@ class _WorkerReport:
     policy_raw: Dict[str, Any]
     volume_layouts: Dict[int, dict]
     node_entry: Dict[str, Any]
-    queue_stats: Dict[str, Any]
 
 
 class ParallelReplayExecutor:
@@ -341,11 +341,6 @@ class ParallelReplayExecutor:
         cluster_stats = sim.collect_cluster_stats()
         node_entry = cluster_stats.get("per_node", {}).get(f"node{node}", {})
         digests = sim.scheduler.schedule_digests()
-        queue_stats = (
-            sim.scheduler.queue_snapshot()
-            if hasattr(sim.scheduler, "queue_snapshot")
-            else {}
-        )
         return {
             "node": node,
             "local_end": local_end,
@@ -361,7 +356,6 @@ class ParallelReplayExecutor:
             "policy_raw": policy_raw,
             "volume_layouts": volume_layouts,
             "node_entry": node_entry,
-            "queue_stats": queue_stats,
         }
 
     # ------------------------------------------------------------------ merging
@@ -417,7 +411,6 @@ class ParallelReplayExecutor:
                 range(self.nodes),
                 key=lambda k: (reports[k].local_end, k),
             ),
-            "queue_stats": {report.node: report.queue_stats for report in reports},
         }
         result = SimulationResult(
             trace_name=trace_name,

@@ -27,14 +27,12 @@ is how a PFS instantiation serves real clients.
 As in the paper, the default scheduling policy picks a *random* runnable
 thread; other policies are derived classes of :class:`SchedulingPolicy`.
 
-Cluster replays shard this event loop by node.  Every thread carries the
-``node`` it runs on; :class:`NodeMergeSchedulingPolicy` makes the
+Cluster replays run on the same single event loop.  Every thread carries
+the ``node`` it runs on, and :class:`NodeMergeSchedulingPolicy` makes the
 interleaving a deterministic pure function of the workload (lowest node
-first, then arrival order), and :class:`ShardedScheduler` reproduces exactly
-that schedule from per-node sub-queues — node-local events run from a
-node-local deque/heap, cross-node wake-ups pass through a small transfer
-queue, and the global merge is only performed when the clock must advance
-past another node's earliest pending event (the conservative window).
+first, then arrival order), which is what lets the parallel executor
+(:mod:`repro.core.parallel`) reproduce each node's schedule in its own
+worker process.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import heapq
 import itertools
 import random
 from abc import ABC, abstractmethod
-from collections import deque
 from hashlib import blake2b
 from typing import Any, Callable, Dict, Generator, Iterable, Optional, Sequence
 
@@ -65,7 +62,6 @@ __all__ = [
     "FifoSchedulingPolicy",
     "NodeMergeSchedulingPolicy",
     "Scheduler",
-    "ShardedScheduler",
 ]
 
 
@@ -122,6 +118,15 @@ RESCHEDULE = Reschedule()
 DELAY_ZERO = Delay(0.0)
 
 
+def _base_command(command: Any) -> Any:
+    """The base-class command a subclassed one stands for."""
+    if isinstance(command, Delay):
+        return Delay(command.seconds)
+    if isinstance(command, WaitEvent):
+        return WaitEvent(command.event)
+    return RESCHEDULE
+
+
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
@@ -173,13 +178,21 @@ class Event:
         Returns the number of threads woken.  If nobody is waiting the
         signal is latched for the next waiter.
         """
-        if self._waiters:
-            woken = 0
-            waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            runnable_state = ThreadState.RUNNABLE
             for thread in waiters:
-                thread._wake(value)
-                woken += 1
-            return woken
+                # Thread._wake + Scheduler._make_runnable, inlined: a signal
+                # is the hottest wake-up path.
+                if thread.alive:
+                    thread._send_value = value
+                    thread._waiting_on = None
+                    thread.state = runnable_state
+                    scheduler = thread.scheduler
+                    thread._stamp = next(scheduler._stamp_counter)
+                    scheduler._runnable.append(thread)
+            return len(waiters)
         self._pending = True
         self._pending_value = value
         return 0
@@ -246,8 +259,8 @@ class Thread:
     threads (disk controllers, the cleaner, flush daemons) that are expected
     to be blocked forever when a run ends; they are excluded from deadlock
     accounting.  ``node`` is the cluster node the thread belongs to (0 for
-    single-machine stacks); it routes the thread to its per-node sub-queue
-    under a :class:`ShardedScheduler`.
+    single-machine stacks); the node-merge policy orders by it and the
+    schedule hash is kept per node.
     """
 
     _counter = itertools.count(1)
@@ -288,7 +301,7 @@ class Thread:
         self.ident = next(Thread._counter)
         self.state = ThreadState.NEW
         #: kept as a plain attribute (not derived from ``state``) because the
-        #: run loops test it once per step; flipped exactly once, on death.
+        #: run loop tests it once per step; flipped exactly once, on death.
         self.alive = True
         self.result: Any = None
         self.exception: Optional[BaseException] = None
@@ -395,12 +408,10 @@ class NodeMergeSchedulingPolicy(SchedulingPolicy):
     """Deterministic cluster merge order: lowest node first, then arrival.
 
     At equal simulated time the runnable thread with the smallest
-    ``(node, arrival stamp)`` pair runs first.  This is the tie-break rule of
-    the sharded event loop (time is handled by the delayed heap; the stamp is
-    the per-node sequence), expressed as an ordinary policy so a plain
-    :class:`Scheduler` produces the *identical* schedule — the sequential
-    reference that :class:`ShardedScheduler` and the parallel executor are
-    pinned against.
+    ``(node, arrival stamp)`` pair runs first (time itself is handled by the
+    delayed heap).  Every multi-node stack runs under this policy, and the
+    parallel executor's per-node workers are pinned to reproduce exactly
+    the schedule it gives.
     """
 
     def select(self, runnable: Sequence[Thread], rng: random.Random) -> int:
@@ -451,15 +462,14 @@ class Scheduler:
         #: thread's entry can be recycled across repeated delays).
         self._delayed: list[list] = []
         self._seq = itertools.count()
-        #: arrival stamps for the deterministic node-merge order; one global
-        #: monotone counter shared by every sub-queue.
+        #: arrival stamps for the deterministic node-merge order.
         self._stamp_counter = itertools.count()
         self._threads: list[Thread] = []
         self._failures: list[Thread] = []
         self.current_thread: Optional[Thread] = None
         #: number of thread resumptions performed (context switches).
         self.context_switches = 0
-        #: set by abort(): the run loops re-raise it instead of stepping on,
+        #: set by abort(): the run loop re-raises it instead of stepping on,
         #: so one thread can take the whole scheduler down (crash injection).
         self._abort: Optional[BaseException] = None
         #: per-node schedule hashers (None = recording off); see
@@ -545,10 +555,9 @@ class Scheduler:
         if self._abort is not None:
             exc, self._abort = self._abort, None
             # The machine died: daemons (flush/WAL/cleaner service threads,
-            # including lazily-spawned ones sitting in per-node sub-queues)
-            # must not survive into the post-crash recovery run, or an armed
-            # crash point can leave a sub-queue non-empty and hang the
-            # recovery matrix.
+            # including lazily-spawned ones still queued) must not survive
+            # into the post-crash recovery run, or an armed crash point can
+            # leave the queues non-empty and hang the recovery matrix.
             self.cancel_daemons()
             raise exc
 
@@ -558,7 +567,7 @@ class Scheduler:
         Models a crash taking the service threads down with the machine: the
         generators are abandoned mid-flight (no ``finally`` cleanup runs, as
         none would on a real power failure) and their queue entries are
-        purged so no sub-queue retains work.  Returns the number cancelled.
+        purged so no queue retains work.  Returns the number cancelled.
         """
         now = self.clock.now()
         cancelled = 0
@@ -591,9 +600,9 @@ class Scheduler:
 
         Every step folds ``(time, thread name)`` into the hasher of the
         stepped thread's node.  Per-node streams (rather than one global
-        stream) are what make the digests comparable across the sequential,
-        sharded and parallel executors: a worker process reproduces exactly
-        its own node's stream.
+        stream) are what make the digests comparable between the sequential
+        and the parallel executor: a worker process reproduces exactly its
+        own node's stream.
         """
         if self._schedule_hash is None:
             self._schedule_hash = {}
@@ -634,36 +643,10 @@ class Scheduler:
         protocol needs both edges).  Returns the clock value when the run
         stopped.
         """
-        runnable = self._runnable
-        delayed = self._delayed
-        clock = self.clock
-        step = self._step
-        steps = 0
-        while True:
-            if self._abort is not None:
-                self._check_abort()
-            if max_steps is not None and steps >= max_steps:
-                break
-            if until is not None:
-                now = clock.now()
-                if now > until or not inclusive and now >= until:
-                    break
-            if runnable:
-                step()
-                steps += 1
-                continue
-            if delayed:
-                wake_time = delayed[0][0]
-                if until is not None and wake_time > until:
-                    clock.advance_to(until)
-                    break
-                clock.advance_to(wake_time)
-                self._release_expired(wake_time)
-                continue
-            break
+        self._loop(None, until, max_steps, inclusive)
         if raise_failures:
             self._raise_pending_failure()
-        return clock.now()
+        return self.clock.now()
 
     def run_until_complete(self, thread: Thread, raise_failures: bool = True) -> Any:
         """Drive the scheduler until ``thread`` terminates; return its result.
@@ -671,22 +654,151 @@ class Scheduler:
         Raises :class:`DeadlockError` if the thread can never complete
         because nothing is runnable or delayed.
         """
+        self._loop(thread, None, None, False)
+        return self._finish_run(thread, raise_failures)
+
+    def _loop(
+        self,
+        target: Optional[Thread],
+        until: Optional[float],
+        max_steps: Optional[int],
+        inclusive: bool,
+    ) -> None:
+        """The event loop behind :meth:`run` and :meth:`run_until_complete`.
+
+        Each iteration either steps one thread — pick it with the policy,
+        resume it once and dispatch the command it yields — or, with nothing
+        runnable, advances the clock to the earliest delayed wake-up and
+        releases every thread due then.  With a ``target`` the loop ends
+        when that thread terminates (or raises :class:`DeadlockError` when
+        it never can); without one it ends when nothing is runnable or
+        delayed, after ``max_steps`` steps or when the clock reaches
+        ``until``.
+
+        This is the simulator's hottest code, so the step is written out in
+        full here with everything it touches bound to locals once.
+        """
         runnable = self._runnable
         delayed = self._delayed
         clock = self.clock
-        step = self._step
-        while thread.alive:
+        now = clock.now
+        advance_to = clock.advance_to
+        select = self.policy.select
+        rng = self.rng
+        next_seq = self._seq.__next__
+        next_stamp = self._stamp_counter.__next__
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        runnable_state = ThreadState.RUNNABLE
+        running_state = ThreadState.RUNNING
+        delayed_state = ThreadState.DELAYED
+        blocked_state = ThreadState.BLOCKED
+        steps = 0
+        while True:
+            if target is not None and not target.alive:
+                return
             if self._abort is not None:
                 self._check_abort()
-            if runnable:
-                step()
-            elif delayed:
+            if max_steps is not None and steps >= max_steps:
+                return
+            if until is not None:
+                current = now()
+                if current > until or not inclusive and current >= until:
+                    return
+
+            if not runnable:
+                if not delayed:
+                    if target is not None:
+                        self._raise_deadlock(target)
+                    return
                 wake_time = delayed[0][0]
-                clock.advance_to(wake_time)
-                self._release_expired(wake_time)
+                if until is not None and wake_time > until:
+                    advance_to(until)
+                    return
+                advance_to(wake_time)
+                while delayed and delayed[0][0] <= wake_time:
+                    thread = heappop(delayed)[2]
+                    if thread.alive and thread.state is delayed_state:
+                        thread._send_value = None
+                        thread.state = runnable_state
+                        thread._stamp = next_stamp()
+                        runnable.append(thread)
+                continue
+
+            # Pick.  With a single runnable thread there is nothing to
+            # choose, so the policy (and the random policy's RNG draw) is
+            # skipped; replays spend most steps here.
+            steps += 1
+            if len(runnable) == 1:
+                thread = runnable.pop()
             else:
-                self._raise_deadlock(thread)
-        return self._finish_run(thread, raise_failures)
+                thread = runnable.pop(select(runnable, rng))
+            if not thread.alive:
+                continue
+
+            # Resume.
+            if self._schedule_hash is not None:
+                self._record_step(thread)
+            self.current_thread = thread
+            thread.state = running_state
+            self.context_switches += 1
+            send_value = thread._send_value
+            thread._send_value = None
+            try:
+                command = thread._generator.send(send_value)
+            except StopIteration as stop:
+                self._finish(thread, result=stop.value)
+                self.current_thread = None
+                continue
+            except BaseException as exc:  # noqa: BLE001 - thread bodies may raise anything
+                self._finish(thread, exception=exc)
+                self.current_thread = None
+                continue
+            self.current_thread = None
+
+            # Dispatch.  Exact-type tests: the command classes are final in
+            # practice and the interned singletons cover the hottest yields.
+            # A subclassed command goes round once more as its base class.
+            while True:
+                cls = command.__class__
+                if cls is Delay:
+                    thread.state = delayed_state
+                    entry = thread._heap_entry
+                    if entry is None:
+                        thread._heap_entry = entry = [0.0, 0, thread]
+                    # The entry is out of the heap here (a DELAYED thread
+                    # cannot yield again before its release pops it), so it
+                    # is mutated and re-pushed instead of allocated per sleep.
+                    entry[0] = now() + command.seconds
+                    entry[1] = next_seq()
+                    heappush(delayed, entry)
+                elif cls is WaitEvent:
+                    event = command.event
+                    if event._pending:
+                        # A latched signal: consume it and stay runnable.
+                        event._pending = False
+                        thread._send_value = event._pending_value
+                        event._pending_value = None
+                        thread.state = runnable_state
+                        thread._stamp = next_stamp()
+                        runnable.append(thread)
+                    else:
+                        thread.state = blocked_state
+                        thread._waiting_on = event
+                        event._add_waiter(thread)
+                elif cls is Reschedule or command is None:
+                    thread.state = runnable_state
+                    thread._stamp = next_stamp()
+                    runnable.append(thread)
+                elif isinstance(command, (Delay, WaitEvent, Reschedule)):
+                    command = _base_command(command)
+                    continue
+                else:
+                    error = SchedulerError(
+                        f"thread {thread.name!r} yielded an unknown command: {command!r}"
+                    )
+                    self._finish(thread, exception=error)
+                break
 
     def _raise_deadlock(self, thread: Thread) -> None:
         blocked = [t.name for t in self._threads if t.alive and not t.daemon]
@@ -720,99 +832,6 @@ class Scheduler:
         thread._stamp = next(self._stamp_counter)
         self._runnable.append(thread)
 
-    def _release_expired(self, now: Optional[float] = None) -> None:
-        delayed = self._delayed
-        if not delayed:
-            return
-        if now is None:
-            now = self.clock.now()
-        pop = heapq.heappop
-        delayed_state = ThreadState.DELAYED
-        while delayed and delayed[0][0] <= now:
-            thread = pop(delayed)[2]
-            if thread.alive and thread.state is delayed_state:
-                thread._send_value = None
-                self._make_runnable(thread)
-
-    def _step(self) -> None:
-        runnable = self._runnable
-        if len(runnable) == 1:
-            # Fast path shared by every policy: with a single runnable thread
-            # there is nothing to choose, so skip the policy dispatch (and,
-            # for the random policy, the RNG draw).  Replay workloads spend
-            # most steps here — one client thread running between I/Os.
-            thread = runnable.pop()
-        else:
-            index = self.policy.select(runnable, self.rng)
-            thread = runnable.pop(index)
-        if not thread.alive:
-            return
-        self._execute(thread)
-
-    def _execute(self, thread: Thread) -> None:
-        """Resume ``thread`` once and dispatch whatever it yields."""
-        if self._schedule_hash is not None:
-            self._record_step(thread)
-        self.current_thread = thread
-        thread.state = ThreadState.RUNNING
-        self.context_switches += 1
-        send_value, thread._send_value = thread._send_value, None
-        try:
-            command = thread._generator.send(send_value)
-        except StopIteration as stop:
-            self._finish(thread, result=stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - thread bodies may raise anything
-            self._finish(thread, exception=exc)
-            return
-        finally:
-            self.current_thread = None
-        self._dispatch(thread, command)
-
-    def _dispatch(self, thread: Thread, command: Any) -> None:
-        # Exact-type tests: the command classes are final in practice (the
-        # interned singletons cover the hottest yields) and this dispatch
-        # runs once per context switch.
-        cls = command.__class__
-        if cls is Delay:
-            thread.state = ThreadState.DELAYED
-            entry = thread._heap_entry
-            if entry is None:
-                thread._heap_entry = entry = [0.0, 0, thread]
-            # The entry is guaranteed out of the heap here (a DELAYED thread
-            # cannot yield another Delay before _release_expired pops it),
-            # so mutate and re-push instead of allocating a fresh tuple.
-            entry[0] = self.clock.now() + command.seconds
-            entry[1] = next(self._seq)
-            self._push_delayed(thread, entry)
-        elif cls is WaitEvent:
-            consumed, value = command.event._consume_pending()
-            if consumed:
-                thread._send_value = value
-                self._make_runnable(thread)
-            else:
-                thread.state = ThreadState.BLOCKED
-                thread._waiting_on = command.event
-                command.event._add_waiter(thread)
-        elif cls is Reschedule or command is None:
-            self._make_runnable(thread)
-        elif isinstance(command, (Delay, WaitEvent, Reschedule)):
-            # A subclassed command: route through the exact-type branches.
-            if isinstance(command, Delay):
-                self._dispatch(thread, Delay(command.seconds))
-            elif isinstance(command, WaitEvent):
-                self._dispatch(thread, WaitEvent(command.event))
-            else:
-                self._make_runnable(thread)
-        else:
-            error = SchedulerError(
-                f"thread {thread.name!r} yielded an unknown command: {command!r}"
-            )
-            self._finish(thread, exception=error)
-
-    def _push_delayed(self, thread: Thread, entry: list) -> None:
-        heapq.heappush(self._delayed, entry)
-
     def _finish(
         self,
         thread: Thread,
@@ -839,331 +858,3 @@ class Scheduler:
         raise SchedulerError(
             f"thread {thread.name!r} died with an unhandled exception"
         ) from thread.exception
-
-
-# ---------------------------------------------------------------------------
-# The sharded event loop
-# ---------------------------------------------------------------------------
-
-
-class ShardedScheduler(Scheduler):
-    """Per-node sub-queues with a deterministic cross-node merge.
-
-    The global runnable list and delayed heap of :class:`Scheduler` are
-    split by cluster node: each node owns a FIFO deque of runnable threads
-    and a min-heap of delayed ones.  Because arrival stamps are drawn from
-    one global counter and each deque is FIFO, the head of the lowest-index
-    non-empty deque *is* the global ``(node, stamp)`` minimum — so stepping
-    sub-queues in node order reproduces, step for step, the schedule of a
-    plain scheduler under :class:`NodeMergeSchedulingPolicy` without the
-    O(runnable) policy scan.
-
-    Cross-node wake-ups (a thread on node *i* signalling a thread on node
-    *j*) pass through a small transfer queue that is folded into the
-    destination deques at the start of the next step; since no release or
-    external wake can interleave before that step, stamp order within every
-    deque is preserved.
-
-    Clock advances use the conservative-window rule of parallel discrete
-    event simulation: when the earliest delayed wake-up belongs to node *k*
-    and is *strictly earlier* than every other node's earliest wake-up, only
-    node *k*'s heap is consulted (a node-local window); the full cross-node
-    merge runs only when two nodes' windows touch.  In-process the window
-    closes at the other nodes' earliest event because shared-memory
-    interactions have zero lookahead; across worker processes the NIC
-    delivery latency widens it (see :mod:`repro.core.parallel`).
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        seed: int = 0,
-        policy: Optional[SchedulingPolicy] = None,
-        nodes: int = 1,
-    ):
-        super().__init__(
-            clock,
-            seed,
-            policy if policy is not None else NodeMergeSchedulingPolicy(),
-        )
-        self.nodes = max(int(nodes), 1)
-        self._run_q: list[deque[Thread]] = [deque() for _ in range(self.nodes)]
-        self._delay_q: list[list[list]] = [[] for _ in range(self.nodes)]
-        self._cross: deque[Thread] = deque()
-        self._runnable_count = 0
-        self._min_node = self.nodes
-        #: statistics: how often the loop crossed a node boundary vs stayed
-        #: inside one node's conservative window.
-        self.cross_node_wakes = 0
-        self.window_batches = 0
-        self.window_releases = 0
-
-    # -- sub-queue bookkeeping -------------------------------------------------
-
-    def _make_runnable(self, thread: Thread) -> None:
-        thread.state = ThreadState.RUNNABLE
-        thread._stamp = next(self._stamp_counter)
-        self._runnable_count += 1
-        node = thread.node
-        current = self.current_thread
-        if current is not None and current.node != node:
-            # A cross-node wake-up: park it on the transfer queue; it is
-            # folded into the destination deque at the next step, before any
-            # other wake source can run, so deque stamp order is preserved.
-            self._cross.append(thread)
-            self.cross_node_wakes += 1
-        else:
-            if self._cross:
-                # A direct append (spawn, release, same-node wake) while
-                # cross-parked wake-ups are pending: fold them first — they
-                # carry older stamps and must precede this thread in its
-                # deque.  Happens when a run loop returns with parked wakes
-                # (e.g. the awaited thread finished mid-instant) and the
-                # caller then spawns or releases before stepping again.
-                self._drain_cross()
-            self._run_q[node].append(thread)
-            if node < self._min_node:
-                self._min_node = node
-
-    def _drain_cross(self) -> None:
-        cross = self._cross
-        run_q = self._run_q
-        min_node = self._min_node
-        while cross:
-            thread = cross.popleft()
-            node = thread.node
-            run_q[node].append(thread)
-            if node < min_node:
-                min_node = node
-        self._min_node = min_node
-
-    def _step(self) -> None:
-        if self._cross:
-            self._drain_cross()
-        node = self._min_node
-        run_q = self._run_q
-        q = run_q[node]
-        thread = q.popleft()
-        self._runnable_count -= 1
-        if not q:
-            # Advance to the next non-empty deque *before* running the
-            # thread: wake-ups during the step re-lower _min_node as needed.
-            nodes = self.nodes
-            node += 1
-            while node < nodes and not run_q[node]:
-                node += 1
-            self._min_node = node
-        if not thread.alive:
-            return
-        self._execute(thread)
-
-    def _push_delayed(self, thread: Thread, entry: list) -> None:
-        heapq.heappush(self._delay_q[thread.node], entry)
-
-    def _release_expired(self, now: Optional[float] = None) -> None:
-        """Release every delayed thread due at or before the current time,
-        merging the per-node heaps in global (time, seq) order."""
-        if now is None:
-            now = self.clock.now()
-        heaps = self._delay_q
-        delayed_state = ThreadState.DELAYED
-        while True:
-            best = None
-            best_node = -1
-            for node, heap in enumerate(heaps):
-                if heap:
-                    head = heap[0]
-                    if head[0] <= now and (best is None or head < best):
-                        best = head
-                        best_node = node
-            if best is None:
-                return
-            heapq.heappop(heaps[best_node])
-            thread = best[2]
-            if thread.alive and thread.state is delayed_state:
-                thread._send_value = None
-                self._make_runnable(thread)
-
-    def _release_node(self, node: int, now: Optional[float] = None) -> None:
-        """Node-local window release: pop due entries from one heap only."""
-        heap = self._delay_q[node]
-        if now is None:
-            now = self.clock.now()
-        pop = heapq.heappop
-        delayed_state = ThreadState.DELAYED
-        released = 0
-        while heap and heap[0][0] <= now:
-            thread = pop(heap)[2]
-            released += 1
-            if thread.alive and thread.state is delayed_state:
-                thread._send_value = None
-                self._make_runnable(thread)
-        self.window_releases += released
-
-    def _earliest_delayed(self) -> tuple[int, float, float]:
-        """(node, wake time, next other node's wake time) of the earliest
-        delayed thread; node is -1 when nothing is delayed."""
-        best_node = -1
-        best = 0.0
-        other = float("inf")
-        for node, heap in enumerate(self._delay_q):
-            if heap:
-                t = heap[0][0]
-                if best_node < 0 or t < best:
-                    if best_node >= 0 and best < other:
-                        other = best
-                    best = t
-                    best_node = node
-                elif t < other:
-                    other = t
-        return best_node, best, other
-
-    def _advance_clock(self) -> bool:
-        """Advance time to the earliest delayed wake-up and release it.
-
-        Uses the node-local window when the earliest wake-up is strictly
-        before every other node's: only that node's heap is touched.
-        Returns False when nothing is delayed.
-        """
-        node, wake, other = self._earliest_delayed()
-        if node < 0:
-            return False
-        self.clock.advance_to(wake)
-        if wake < other:
-            self.window_batches += 1
-            self._release_node(node, wake)
-        else:
-            self._release_expired(wake)
-        return True
-
-    # -- run loops --------------------------------------------------------------
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_steps: Optional[int] = None,
-        raise_failures: bool = True,
-        inclusive: bool = False,
-    ) -> float:
-        clock = self.clock
-        step = self._step
-        heaps = self._delay_q
-        infinity = float("inf")
-        steps = 0
-        while True:
-            if self._abort is not None:
-                self._check_abort()
-            if max_steps is not None and steps >= max_steps:
-                break
-            if until is not None:
-                now = clock.now()
-                if now > until or not inclusive and now >= until:
-                    break
-            if self._runnable_count:
-                step()
-                steps += 1
-                continue
-            # Inlined _earliest_delayed: scan the per-node heap heads for the
-            # earliest wake-up and the next other node's earliest.
-            best_node = -1
-            wake = 0.0
-            other = infinity
-            for node, heap in enumerate(heaps):
-                if heap:
-                    t = heap[0][0]
-                    if best_node < 0 or t < wake:
-                        if best_node >= 0 and wake < other:
-                            other = wake
-                        wake = t
-                        best_node = node
-                    elif t < other:
-                        other = t
-            if best_node < 0:
-                break
-            if until is not None and wake > until:
-                clock.advance_to(until)
-                break
-            clock.advance_to(wake)
-            if wake < other:
-                self.window_batches += 1
-                self._release_node(best_node, wake)
-            else:
-                self._release_expired(wake)
-        if raise_failures:
-            self._raise_pending_failure()
-        return clock.now()
-
-    def run_until_complete(self, thread: Thread, raise_failures: bool = True) -> Any:
-        step = self._step
-        heaps = self._delay_q
-        advance_to = self.clock.advance_to
-        infinity = float("inf")
-        while thread.alive:
-            if self._abort is not None:
-                self._check_abort()
-            if self._runnable_count:
-                step()
-                continue
-            # Inlined _advance_clock: find the earliest delayed wake-up and
-            # release within the node-local window when it is strictly
-            # earlier than every other node's.
-            best_node = -1
-            wake = 0.0
-            other = infinity
-            for node, heap in enumerate(heaps):
-                if heap:
-                    t = heap[0][0]
-                    if best_node < 0 or t < wake:
-                        if best_node >= 0 and wake < other:
-                            other = wake
-                        wake = t
-                        best_node = node
-                    elif t < other:
-                        other = t
-            if best_node < 0:
-                self._raise_deadlock(thread)
-            advance_to(wake)
-            if wake < other:
-                self.window_batches += 1
-                self._release_node(best_node, wake)
-            else:
-                self._release_expired(wake)
-        return self._finish_run(thread, raise_failures)
-
-    # -- crash cleanup -----------------------------------------------------------
-
-    def _purge_dead(self) -> None:
-        count = 0
-        min_node = self.nodes
-        for node, q in enumerate(self._run_q):
-            if q:
-                live = [t for t in q if t.alive]
-                q.clear()
-                q.extend(live)
-                if live and node < min_node:
-                    min_node = node
-                count += len(live)
-        live_cross = [t for t in self._cross if t.alive]
-        self._cross.clear()
-        self._cross.extend(live_cross)
-        count += len(live_cross)
-        self._runnable_count = count
-        self._min_node = min_node
-        for heap in self._delay_q:
-            live_entries = [entry for entry in heap if entry[2].alive]
-            if len(live_entries) != len(heap):
-                heap[:] = live_entries
-                heapq.heapify(heap)
-
-    # -- introspection ------------------------------------------------------------
-
-    def queue_snapshot(self) -> Dict[str, Any]:
-        """Per-node queue depths, for the cluster statistics report."""
-        return {
-            "runnable": [len(q) for q in self._run_q],
-            "delayed": [len(h) for h in self._delay_q],
-            "cross_queue": len(self._cross),
-            "cross_node_wakes": self.cross_node_wakes,
-            "window_batches": self.window_batches,
-            "window_releases": self.window_releases,
-        }

@@ -429,15 +429,19 @@ class LogStructuredLayout(StorageLayout):
 
     def write_inode(self, inode: Inode) -> Generator[Any, Any, None]:
         self._inode_objects[inode.number] = inode
-        payload = codec.pack_inode(inode)
-        nblocks = max(1, -(-len(payload) // self.block_size))
+        if self.simulated:
+            # No bytes are kept in the simulated world: size the record only.
+            nblocks = max(1, -(-codec.inode_packed_size(inode) // self.block_size))
+            chunks = [None] * nblocks
+        else:
+            payload = codec.pack_inode(inode)
+            nblocks = max(1, -(-len(payload) // self.block_size))
+            chunks = self._chunk(payload, nblocks)
         old = self.inode_map.get(inode.number)
         if old is not None:
             self._kill_blocks(old[0], old[1])
-        chunks = self._chunk(payload, nblocks)
         entries = [
-            (inode.number, index, True, chunk if not self.simulated else None)
-            for index, chunk in enumerate(chunks)
+            (inode.number, index, True, chunk) for index, chunk in enumerate(chunks)
         ]
         addresses = yield from self._append(entries, contiguous=True)
         self.inode_map[inode.number] = (addresses[0], nblocks)

@@ -68,6 +68,9 @@ class SimulatedDisk:
         self.name = name
         self.node = node
         self.stats = DiskStatistics()
+        #: the controller overhead charged per request, interned: the spec is
+        #: frozen and the scheduler never stores commands.
+        self._overhead = Delay(spec.controller_overhead)
         self._work: Channel = Channel(scheduler, name=f"{name}-work")
         self._current_cylinder = 0
         self._current_head = 0
@@ -143,10 +146,9 @@ class SimulatedDisk:
             yield Delay(owed)
 
     def _service(self, request: IORequest) -> Generator[Any, Any, None]:
-        spec = self.spec
         self.stats.requests += 1
         # Controller/command decode overhead.
-        yield Delay(spec.controller_overhead)
+        yield self._overhead
         if request.kind is IOKind.READ:
             yield from self._service_read(request)
         else:

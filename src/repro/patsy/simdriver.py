@@ -51,6 +51,7 @@ class SimulatedDiskDriver(DiskDriver):
             sector_size=disk.spec.sector_size,
             node=node,
         )
+        self._done_name = f"{self.name}-disk-done"
 
     def _perform(self, request: IORequest) -> Generator[Any, Any, None]:
         # Send the command (and write data) over the shared connection, then
@@ -59,6 +60,6 @@ class SimulatedDiskDriver(DiskDriver):
         if request.kind is IOKind.WRITE:
             command_bytes += request.nbytes
         yield from self.bus.transfer(command_bytes)
-        completion = self.scheduler.new_event(f"{self.name}-disk-done-{request.request_id}")
+        completion = self.scheduler.new_event(self._done_name)
         self.disk.submit(request, completion)
         yield from completion.wait()

@@ -879,8 +879,6 @@ class PatsySimulator:
             stats["replication"] = topology.replication.snapshot()
         if topology.repairer is not None:
             stats["repairer"] = topology.repairer.snapshot()
-        if hasattr(self.scheduler, "queue_snapshot"):
-            stats["scheduler"] = self.scheduler.queue_snapshot()
         return stats
 
     def collect_statistics(self) -> Dict[str, Any]:

@@ -93,3 +93,17 @@ def test_pending_property():
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigurationError):
         make_io_scheduler("elevator-2000")
+
+
+@pytest.mark.parametrize("name", ["look", "clook", "scan", "cscan", "scan-edf"])
+def test_take_removes_the_chosen_request_not_an_equal_one(name):
+    """Two queued requests that compare equal field for field: the one the
+    policy picked is the one that leaves the queue."""
+    sched = make_io_scheduler(name)
+    first = req(100)
+    twin = IORequest(kind=IOKind.READ, sector=100, count=8, request_id=first.request_id)
+    assert first == twin and first is not twin
+    sched.add(first)
+    sched.add(twin)
+    assert sched._take(twin) is twin
+    assert sched.pending[0] is first

@@ -1,13 +1,12 @@
-"""Determinism pins for the sharded event loop and the parallel executor.
+"""Determinism pins for the parallel executor.
 
 The acceptance bar of the parallel-replay work: on a partitioned cluster
-trace, the sequential scheduler (global heap, node-merge policy), the
-sharded loop (Stage A) and the per-node worker processes (Stage B) must
-produce *identical* results — same ``SimulationResult`` summary, same
-per-node event-schedule digests — at 1, 2 and 4 nodes.  Plus validation of
-the shapes the executor refuses, and a hypothesis property that random NIC
-timings never let the sharded loop execute an event ahead of an earlier
-pending one on another node (the conservative window).
+trace, the sequential event loop (node-merge policy) and the per-node worker
+processes must produce *identical* results — same ``SimulationResult``
+summary, same per-node event-schedule digests — at 1, 2 and 4 nodes.  Plus
+validation of the shapes the executor refuses, and a hypothesis property
+that random NIC timings never let the node-merge loop execute an event ahead
+of an earlier pending one on another node (the conservative window).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import pytest
 from repro.config import cluster_config
 from repro.core.clock import VirtualClock
 from repro.core.cluster.network import Nic
-from repro.core.scheduler import ShardedScheduler
+from repro.core.scheduler import NodeMergeSchedulingPolicy, Scheduler
 from repro.errors import ConfigurationError
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.stats import LatencyRecorder
@@ -57,7 +56,7 @@ def partitioned_trace(clients=4, files_per_client=5, ops=140, seed=7):
     return records
 
 
-def _config(nodes, *, parallel=False, sharded_loop=True, jobs=0,
+def _config(nodes, *, parallel=False, jobs=0,
             client_entry="home", placement="node", rebalance=False):
     config = cluster_config(
         nodes=nodes, scale=0.1, placement=placement, rebalance=rebalance
@@ -67,7 +66,6 @@ def _config(nodes, *, parallel=False, sharded_loop=True, jobs=0,
         cluster=replace(
             config.cluster,
             parallel=parallel,
-            sharded_loop=sharded_loop,
             jobs=jobs,
             client_entry=client_entry,
         ),
@@ -85,29 +83,26 @@ def _replay(config, trace):
 # ---------------------------------------------------------------------------
 
 
-def test_sequential_sharded_parallel_schedules_identical():
-    """Seeded 2-node run: sequential == Stage A == Stage B, schedule and all."""
+def test_sequential_parallel_schedules_identical():
+    """Seeded 2-node run: sequential == per-node workers, schedule and all."""
     trace = partitioned_trace()
-    sequential = _replay(_config(2, sharded_loop=False), trace)
-    sharded = _replay(_config(2), trace)
+    sequential = _replay(_config(2), trace)
     parallel = _replay(_config(2, parallel=True), trace)
 
     assert sequential.schedule_digests
-    assert sequential.schedule_digests == sharded.schedule_digests
-    assert sharded.schedule_digests == parallel.schedule_digests
-    assert sequential.summary() == sharded.summary()
-    assert sharded.summary() == parallel.summary()
+    assert sequential.schedule_digests == parallel.schedule_digests
+    assert sequential.summary() == parallel.summary()
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])
 def test_parallel_pin_at_1_2_4_nodes(nodes):
     trace = partitioned_trace()
-    sharded = _replay(_config(nodes), trace)
+    sequential = _replay(_config(nodes), trace)
     parallel = _replay(_config(nodes, parallel=True), trace)
-    assert sharded.summary() == parallel.summary()
-    assert sharded.schedule_digests == parallel.schedule_digests
-    assert sharded.simulated_time == parallel.simulated_time
-    assert sharded.errors == parallel.errors
+    assert sequential.summary() == parallel.summary()
+    assert sequential.schedule_digests == parallel.schedule_digests
+    assert sequential.simulated_time == parallel.simulated_time
+    assert sequential.errors == parallel.errors
 
 
 def test_jobs_cap_does_not_change_results():
@@ -230,7 +225,7 @@ def test_window_never_executes_ahead_of_earlier_cross_node_delivery(
     """Random NIC latencies/overheads never violate the conservative window:
     execution times are globally nondecreasing, so no node runs an event
     while another node still holds an earlier pending delivery."""
-    scheduler = ShardedScheduler(clock=VirtualClock(), seed=1, nodes=2)
+    scheduler = Scheduler(clock=VirtualClock(), seed=1, policy=NodeMergeSchedulingPolicy())
     nics = [
         Nic(scheduler, name=f"nic{n}", latency=latency, overhead=overhead)
         for n in range(2)

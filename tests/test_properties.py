@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import codec
@@ -43,6 +44,31 @@ def test_inode_codec_roundtrip(number, size, nlink, block_map, kind, target):
     assert unpacked.block_map == block_map
     assert unpacked.symlink_target == target
     assert unpacked.kind is kind
+
+
+@pytest.mark.parametrize("kind", list(FileKind), ids=lambda kind: kind.name.lower())
+@given(
+    block_map=st.dictionaries(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        max_size=300,
+    ),
+    target=st.one_of(
+        st.text(max_size=40),
+        # Non-ASCII targets: more UTF-8 bytes than characters.
+        st.text(
+            alphabet=st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)),
+            min_size=1,
+            max_size=40,
+        ),
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_inode_packed_size_is_packed_length(kind, block_map, target):
+    """The simulated LFS sizes inode records with ``inode_packed_size``
+    instead of packing them, so the two must always agree."""
+    inode = Inode(number=7, kind=kind, block_map=dict(block_map), symlink_target=target)
+    assert codec.inode_packed_size(inode) == len(codec.pack_inode(inode))
 
 
 @given(

@@ -31,7 +31,7 @@ from repro.config import cluster_config, sun4_280_config
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 
-from test_parallel import partitioned_trace
+from tests.test_parallel import partitioned_trace
 
 GOLDEN = json.loads((Path(__file__).with_name("schedule_golden.json")).read_text())
 

@@ -11,6 +11,7 @@ from repro.core.scheduler import (
     Reschedule,
     Scheduler,
     ThreadState,
+    WaitEvent,
 )
 from repro.errors import DeadlockError, SchedulerError
 from tests.conftest import run
@@ -294,3 +295,53 @@ def test_threads_property_and_names(scheduler):
     assert thread.name == "my-thread"
     assert thread in scheduler.threads
     scheduler.run()
+
+
+def test_subclassed_commands_dispatch_as_their_base_class(fifo_scheduler):
+    class LongDelay(Delay):
+        __slots__ = ()
+
+    class TaggedWait(WaitEvent):
+        __slots__ = ()
+
+    class Yield(Reschedule):
+        __slots__ = ()
+
+    event = fifo_scheduler.new_event("gate")
+    seen = []
+
+    def waiter():
+        yield LongDelay(2.0)
+        seen.append(fifo_scheduler.now)
+        seen.append((yield TaggedWait(event)))
+        yield Yield()
+        seen.append(fifo_scheduler.now)
+
+    def signaller():
+        yield Delay(3.0)
+        event.signal("go")
+
+    thread = fifo_scheduler.spawn(waiter)
+    fifo_scheduler.spawn(signaller)
+    fifo_scheduler.run_until_complete(thread)
+    assert seen == [2.0, "go", 3.0]
+
+
+def test_run_stops_after_max_steps_and_at_the_until_edge(fifo_scheduler):
+    ran = []
+
+    def body(name):
+        ran.append((name, fifo_scheduler.now))
+        yield Delay(1.0)
+        ran.append((name, fifo_scheduler.now))
+
+    fifo_scheduler.spawn(body, "a")
+    fifo_scheduler.spawn(body, "b")
+    fifo_scheduler.run(max_steps=1)
+    assert ran == [("a", 0.0)]
+    # Threads due at exactly ``until`` are released but not run ...
+    assert fifo_scheduler.run(until=1.0) == 1.0
+    assert ran == [("a", 0.0), ("b", 0.0)]
+    # ... unless the run is inclusive.
+    fifo_scheduler.run(until=1.0, inclusive=True)
+    assert ran == [("a", 0.0), ("b", 0.0), ("a", 1.0), ("b", 1.0)]
