@@ -3,7 +3,7 @@
 Each case replays a short seeded trace with schedule hashing on and compares
 the per-node schedule digests, ``summary()`` and the scheduler's context
 switch count with values recorded in ``schedule_golden.json``.  The pins
-cover the three stack shapes the event loop has to reproduce step for step:
+cover the stack shapes the event loop has to reproduce step for step:
 
 * ``sun4`` — the paper's Sun 4/280 preset on one node under the seeded
   random policy;
@@ -11,7 +11,10 @@ cover the three stack shapes the event loop has to reproduce step for step:
   ``test_parallel.py`` at 2 and 4 nodes (home entry, node placement), the
   sequential reference the parallel executor is pinned against;
 * ``cluster4`` — a 4-node read-mostly zipf replay through the front end with
-  directory placement and the rebalancer on.
+  directory placement and the rebalancer on;
+* ``small`` — the small test stack replaying the time-sorted sprite-like
+  trace of ``test_streaming_replay.py``, recorded while lists still had a
+  replay loop of their own, so the one demux-fed loop is pinned to it.
 
 A change to the scheduler, or to anything that changes which thread runs
 when, shows up here as a digest mismatch.  The values must not be
@@ -27,11 +30,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import cluster_config, sun4_280_config
+from repro.config import cluster_config, small_test_config, sun4_280_config
 from repro.patsy.simulator import PatsySimulator
 from repro.patsy.workload import WorkloadProfile, generate_workload
 
 from tests.test_parallel import partitioned_trace
+from tests.test_streaming_replay import replay_trace
 
 GOLDEN = json.loads((Path(__file__).with_name("schedule_golden.json")).read_text())
 
@@ -62,6 +66,8 @@ def _case(name):
         )
         config = cluster_config(nodes=4, scale=0.1, placement="directory", rebalance=True)
         return config, generate_workload(profile, seed=11)
+    if name == "small":
+        return small_test_config(seed=5), replay_trace()
     raise KeyError(name)
 
 
