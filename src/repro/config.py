@@ -535,12 +535,6 @@ class SimulationConfig:
     #: stop the simulation after this much simulated time (None = run the
     #: whole trace).
     max_simulated_time: Optional[float] = None
-    #: replay traces through the streaming engine: records are pulled from
-    #: the source one at a time and demultiplexed into per-client threads
-    #: without materialising the trace (memory stays O(clients + skew)
-    #: instead of O(records)).  The materialised path remains the default
-    #: for small tests.
-    streaming: bool = False
 
     def with_flush(self, flush: FlushConfig) -> "SimulationConfig":
         """A copy of this configuration with a different flush policy."""

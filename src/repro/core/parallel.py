@@ -141,8 +141,11 @@ class ParallelReplayExecutor:
     ):
         """Replay ``records`` across the workers; returns the merged result.
 
-        ``records`` must be materialised (the partition is computed up
-        front; the list is shared with the forked workers copy-on-write).
+        ``records`` is materialised here — a path is loaded, an iterator
+        listed — because the partition is computed up front; the list is
+        shared with the forked workers copy-on-write, and each worker
+        replays its node's share through
+        :meth:`~repro.patsy.simulator.PatsySimulator.run_clients`.
         """
         from repro.patsy.simulator import PatsySimulator
         from repro.patsy.traces import load_trace
@@ -274,7 +277,7 @@ class ParallelReplayExecutor:
         sim.prepare_namespace(setup_dirs)
         own = [r for r in records if sim.client_node(r.client) == node]
         limit = max_time if max_time is not None else config.max_simulated_time
-        sim.run_client_streams(own, limit)
+        sim.run_clients(own, limit)
         local_end = sim.scheduler.now
         _send(tx, ("done", node, local_end))
         message = _recv(rx)

@@ -218,13 +218,6 @@ class Event:
 
     # -- scheduler hooks ------------------------------------------------------
 
-    def _consume_pending(self) -> tuple[bool, Any]:
-        if self._pending:
-            self._pending = False
-            value, self._pending_value = self._pending_value, None
-            return True, value
-        return False, None
-
     def _add_waiter(self, thread: "Thread") -> None:
         self._waiters.append(thread)
 

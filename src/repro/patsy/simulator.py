@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -37,13 +38,7 @@ from repro.core.scheduler import Delay
 from repro.core.storage.array import RoutedLayout, ShardedCache
 from repro.errors import ConfigurationError, FileSystemError, TraceError
 from repro.patsy.stats import DEFAULT_PLUGINS, LatencyRecorder, StatisticsPlugin
-from repro.patsy.traces import (
-    TraceRecord,
-    iter_trace,
-    load_trace,
-    records_by_client,
-    scan_trace_client_counts,
-)
+from repro.patsy.traces import TraceRecord, iter_trace, scan_trace_client_counts
 
 __all__ = ["PatsySimulator", "SimulationResult", "TraceSource"]
 
@@ -60,18 +55,19 @@ class _TraceDemux:
     There is no pump thread: when a client thread needs its next record and
     its queue is empty, it synchronously pulls from the iterator, parking
     records that belong to other clients on their queues.  Keeping the pull
-    inside the consuming thread means streaming replay presents *exactly*
-    the same runnable-thread sequence to the scheduler as materialised
-    replay, so the two modes are reproducibly identical under the seeded
-    random scheduling policy.  Buffering is bounded by the timestamp skew
-    between clients (tracked in :attr:`peak_buffered`), never by the trace
-    length.
+    inside the consuming thread means the order in which records arrive
+    never shows in the schedule: each client thread yields exactly as if it
+    held its own record list, so a replay is reproducible under the seeded
+    random scheduling policy whatever the source.  Buffering is bounded by
+    the timestamp skew between clients (tracked in :attr:`peak_buffered`),
+    never by the trace length.
 
-    ``remaining`` optionally pre-declares per-client record counts (from a
-    scan pass); with it, a client whose records have run out gets ``None``
-    immediately instead of pulling — and buffering — the rest of the trace.
-    Without counts (discovery mode over an arbitrary iterator) the last
-    pull of an early-finishing client can buffer the remaining trace.
+    ``remaining`` optionally pre-declares the clients and their record
+    counts (from a scan pass); with it, a client whose records have run out
+    gets ``None`` immediately instead of pulling — and buffering — the rest
+    of the trace.  Without counts (discovery mode over an arbitrary
+    iterator) the last pull of an early-finishing client can buffer the
+    remaining trace.
     """
 
     __slots__ = ("_iter", "_queues", "_finished", "_exhausted", "_on_new_client",
@@ -84,7 +80,7 @@ class _TraceDemux:
         remaining: Optional[Dict[int, int]] = None,
     ):
         self._iter = iter(records)
-        self._queues: Dict[int, deque] = {}
+        self._queues: Dict[int, deque] = {client: deque() for client in remaining or ()}
         self._finished: set[int] = set()
         self._exhausted = False
         self._on_new_client = on_new_client
@@ -92,11 +88,6 @@ class _TraceDemux:
         self.buffered = 0
         self.peak_buffered = 0
         self.records_read = 0
-
-    def add_client(self, client: int) -> None:
-        """Pre-register a client (no new-client callback fires for it)."""
-        if client not in self._queues:
-            self._queues[client] = deque()
 
     def _enqueue(self, record: TraceRecord) -> None:
         client = record.client
@@ -112,18 +103,17 @@ class _TraceDemux:
         if self.buffered > self.peak_buffered:
             self.peak_buffered = self.buffered
 
-    def prime(self) -> bool:
-        """Read ahead until at least one client is known (discovery mode).
-        Returns False when the trace is empty."""
+    def prime(self) -> None:
+        """Read ahead until at least one client is known (discovery mode;
+        an empty trace leaves none)."""
         if self._queues:
-            return True
+            return
         record = next(self._iter, None)
         if record is None:
             self._exhausted = True
-            return False
+            return
         self.records_read += 1
         self._enqueue(record)
-        return True
 
     def next_record(self, client: int) -> Optional[TraceRecord]:
         """The next record for ``client``, pulling the shared iterator as
@@ -170,8 +160,8 @@ class SimulationResult:
     #: dirty blocks that died in memory and never cost a disk write.
     write_savings_blocks: int = 0
     blocks_written_to_disk: int = 0
-    #: streaming-replay bookkeeping (peak demux buffering etc.); empty for
-    #: materialised replay.
+    #: replay bookkeeping: records replayed, peak demux buffering and client
+    #: count (empty for parallel-executor runs, which merge no demux state).
     stream_stats: Dict[str, Any] = field(default_factory=dict)
     #: per-volume breakdown and array-level rollup (storage-array runs only;
     #: empty — and absent from :meth:`summary` — for single-volume runs, so
@@ -405,15 +395,6 @@ class PatsySimulator:
         for thread in threads:
             self.scheduler.run_until_complete(thread)
 
-    def _auto_setup_dirs(self, records: Sequence[TraceRecord]) -> List[tuple[int, str]]:
-        """Setup directories for :meth:`replay`'s automatic namespace phase
-        (multi-node home-entry runs only — exactly the runs whose schedule
-        must be reproducible under the parallel executor)."""
-        cluster = self.config.cluster
-        if cluster is None or cluster.nodes <= 1 or cluster.client_entry != "home":
-            return []
-        return self.partition_setup_dirs(records, cluster.nodes)
-
     # ------------------------------------------------------------------ replay
 
     def replay(
@@ -425,100 +406,58 @@ class PatsySimulator:
         """Replay a trace and return the measurements.
 
         ``records`` may be a materialised record list, a path to an on-disk
-        trace, an open text stream, or any record iterator.  With
-        ``config.streaming`` set (or for any non-rewindable source) the
-        streaming engine replays without materialising the trace; both
-        engines produce identical measurements on the same trace.
+        trace, an open text stream, or any record iterator; every form is
+        replayed by :meth:`run_clients`.  A list replays each client's
+        records in timestamp order (a stable sort); paths, streams and
+        iterators replay in source order, so a file whose per-client
+        records are out of time order is replayed as written.
         """
         cluster = self.config.cluster
         if cluster is not None and cluster.parallel and cluster.nodes > 1:
             from repro.core.parallel import ParallelReplayExecutor
 
-            if isinstance(records, (str, Path)):
-                records = load_trace(records)
             executor = ParallelReplayExecutor(
                 self.config, enable_digests=self.scheduler.schedule_hash_enabled
             )
-            return executor.replay(
-                list(records), trace_name=trace_name, max_time=max_time
-            )
-        is_path = isinstance(records, (str, Path))
-        is_sequence = not is_path and isinstance(records, Sequence)
-        if self.config.streaming or not (is_path or is_sequence):
-            return self.replay_stream(records, trace_name=trace_name, max_time=max_time)
-        if is_path:
-            records = load_trace(records)
-        if not records:
-            raise TraceError("cannot replay an empty trace")
+            return executor.replay(records, trace_name=trace_name, max_time=max_time)
         self.mount()
-        self.prepare_namespace(self._auto_setup_dirs(records))
+        if cluster is not None and cluster.nodes > 1 and cluster.client_entry == "home":
+            # The namespace phase of the node partition, run identically by
+            # every parallel worker; only enumerable sources can have one.
+            if isinstance(records, (str, Path)):
+                dirs = self.partition_setup_dirs(iter_trace(records), cluster.nodes)
+                self.prepare_namespace(dirs)
+            elif isinstance(records, Sequence):
+                self.prepare_namespace(self.partition_setup_dirs(records, cluster.nodes))
         limit = max_time if max_time is not None else self.config.max_simulated_time
-        self.run_client_streams(records, limit)
+        self.run_clients(records, limit)
+        if not self._stream_stats["clients"]:
+            raise TraceError("cannot replay an empty trace")
         self.latency.finish()
         return self.build_result(trace_name)
 
-    def run_client_streams(
-        self, records: Sequence[TraceRecord], limit: Optional[float]
-    ) -> None:
+    def run_clients(self, source: TraceSource, limit: Optional[float]) -> None:
         """Spawn a replay thread per client — on its entry node — and drive
-        them to completion in client order.  Leaves the recorder open and
-        builds no result: :meth:`replay` finishes both, and the parallel
-        executor interposes its end protocol between the two."""
-        streams = records_by_client(records)
-        threads = [
-            self.scheduler.spawn(
-                self._client_thread,
-                client,
-                stream,
-                limit,
-                name=f"client-{client}",
-                node=self.client_node(client),
-            )
-            for client, stream in sorted(streams.items())
-        ]
-        for thread in threads:
-            self.scheduler.run_until_complete(thread)
+        them to completion in client order.
 
-    def replay_stream(
-        self,
-        source: TraceSource,
-        trace_name: str = "",
-        max_time: Optional[float] = None,
-        clients: Optional[Iterable[int]] = None,
-    ) -> SimulationResult:
-        """Replay a trace in streaming mode: records are pulled from the
-        source one at a time and demultiplexed into per-client threads, so
-        memory is constant in the trace length.
-
-        ``clients`` pre-declares the client population; when omitted it is
-        recovered with a cheap scan pass for on-disk traces (or from the
-        sequence itself), so streaming replay spawns the same client
-        threads in the same order as materialised replay and the two modes
-        yield identical measurements on a per-client time-ordered trace.
-        Sources that cannot be enumerated up-front (generators, streams)
-        fall back to discovery: a client's thread starts when its first
-        record surfaces.
+        Records are pulled from ``source`` one at a time and demultiplexed
+        into the client threads, so memory is constant in the trace length.
+        When the client population can be counted up front (a list, a
+        path or a seekable text stream) the threads are spawned in
+        client-id order; otherwise a client's thread starts when its first
+        record surfaces.  Fills :attr:`SimulationResult.stream_stats` but
+        leaves the recorder open and builds no result: :meth:`replay`
+        finishes both, and the parallel executor interposes its end
+        protocol between the two.
         """
-        self.mount()
-        cluster = self.config.cluster
-        if cluster is not None and cluster.nodes > 1 and cluster.client_entry == "home":
-            # Keep streaming replay schedule-identical to materialised
-            # replay on enumerable sources: run the same namespace phase.
-            if isinstance(source, (str, Path)):
-                self.prepare_namespace(
-                    self.partition_setup_dirs(iter_trace(source), cluster.nodes)
-                )
-            elif isinstance(source, Sequence):
-                self.prepare_namespace(self._auto_setup_dirs(source))
-        limit = max_time if max_time is not None else self.config.max_simulated_time
-        records, known_clients, counts = self._open_trace_source(source, clients)
+        records, counts = self._open_trace_source(source)
         threads: List[Any] = []
         demux: _TraceDemux
 
         def spawn_client(client: int) -> None:
             threads.append(
                 self.scheduler.spawn(
-                    self._client_thread_streaming,
+                    self._client_thread,
                     client,
                     demux,
                     limit,
@@ -528,62 +467,53 @@ class PatsySimulator:
             )
 
         demux = _TraceDemux(records, on_new_client=spawn_client, remaining=counts)
-        if known_clients is not None:
-            if not known_clients:
-                raise TraceError("cannot replay an empty trace")
-            for client in sorted(known_clients):
-                demux.add_client(client)
-            for client in sorted(known_clients):
+        if counts is not None:
+            for client in sorted(counts):
                 spawn_client(client)
-        elif not demux.prime():
-            raise TraceError("cannot replay an empty trace")
+        else:
+            demux.prime()
         index = 0
         while index < len(threads):  # discovery may append threads mid-run
             self.scheduler.run_until_complete(threads[index])
             index += 1
-        self.latency.finish()
         self._stream_stats = {
             "records_replayed": demux.records_read,
             "peak_buffered_records": demux.peak_buffered,
             "clients": len(threads),
         }
-        return self.build_result(trace_name)
 
+    @staticmethod
     def _open_trace_source(
-        self, source: TraceSource, clients: Optional[Iterable[int]]
-    ) -> tuple[Iterator[TraceRecord], Optional[List[int]], Optional[Dict[int, int]]]:
-        """Resolve a trace source to (record iterator, known client ids,
-        per-client record counts).  Counts — available whenever the source
-        can be enumerated cheaply — let the demux stop a finished client
-        from pulling (and buffering) the rest of the trace."""
-        known = sorted(set(clients)) if clients is not None else None
+        source: TraceSource,
+    ) -> tuple[Iterator[TraceRecord], Optional[Dict[int, int]]]:
+        """Resolve a trace source to (record iterator, per-client record
+        counts).  Counts — available whenever the source can be enumerated
+        cheaply: a list, a path or a seekable text stream — fix the client
+        population up front and let the demux stop a finished client from
+        pulling (and buffering) the rest of the trace.  A list is fed as a
+        stably time-sorted copy, so each client sees its records in
+        timestamp order."""
         if isinstance(source, (str, Path)):
-            counts = scan_trace_client_counts(source)
-            if known is None:
-                known = sorted(counts)
-            return iter_trace(source), known, counts
+            return iter_trace(source), scan_trace_client_counts(source)
         if isinstance(source, Sequence):
-            counts = {}
+            counts: Dict[int, int] = {}
             for record in source:
                 counts[record.client] = counts.get(record.client, 0) + 1
-            if known is None:
-                known = sorted(counts)
-            return iter(source), known, counts
-        if hasattr(source, "read"):
-            return iter_trace(source), known, None
-        return iter(source), known, None
+            return iter(sorted(source, key=attrgetter("timestamp"))), counts
+        if not hasattr(source, "read"):
+            return iter(source), None
+        if not (hasattr(source, "seekable") and source.seekable()):
+            return iter_trace(source), None
+        start = source.tell()
+        counts = scan_trace_client_counts(source)
+        source.seek(start)
+        return iter_trace(source), counts
 
-    def run_operations(self, records: Sequence[TraceRecord]) -> SimulationResult:
-        """Convenience wrapper used by tests: replay and return the result."""
-        return self.replay(records)
-
-    def _client_thread_streaming(
+    def _client_thread(
         self, client: int, demux: _TraceDemux, max_time: Optional[float]
     ) -> Generator[Any, Any, None]:
-        """Streaming twin of :meth:`_client_thread`: identical yield
-        sequence, but records are pulled from the demux on demand (the pull
-        itself never yields, so the scheduler sees the same execution as
-        the materialised path)."""
+        """Replay one client's records, pulled from the demux on demand (the
+        pull itself never yields, so it never changes the schedule)."""
         handles: Dict[str, int] = {}
         while True:
             record = demux.next_record(client)
@@ -601,30 +531,6 @@ class PatsySimulator:
                 self.errors += 1
             self.latency.record(started, record.op, self.scheduler.now - started, client)
         demux.finish_client(client)
-        # Close anything the trace left open.
-        for path, handle in list(handles.items()):
-            try:
-                yield from self.client.close(handle)
-            except FileSystemError:
-                self.errors += 1
-            handles.pop(path, None)
-
-    def _client_thread(
-        self, client: int, records: List[TraceRecord], max_time: Optional[float]
-    ) -> Generator[Any, Any, None]:
-        handles: Dict[str, int] = {}
-        for record in records:
-            if max_time is not None and record.timestamp > max_time:
-                break
-            delay = record.timestamp - self.scheduler.now
-            if delay > 0:
-                yield Delay(delay)
-            started = self.scheduler.now
-            try:
-                yield from self._execute(record, handles)
-            except FileSystemError:
-                self.errors += 1
-            self.latency.record(started, record.op, self.scheduler.now - started, client)
         # Close anything the trace left open.
         for path, handle in list(handles.items()):
             try:

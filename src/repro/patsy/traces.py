@@ -225,10 +225,10 @@ def iter_trace_tuples(
 def scan_trace_client_counts(source: Union[str, Path, TextIO]) -> dict[int, int]:
     """One cheap pass over a trace counting records per client id.
 
-    Streaming replay uses this to spawn the same client threads, in the
-    same sorted order, as materialised replay, and to let a finished
-    client stop pulling the shared iterator the moment its records run
-    out — memory is O(#clients), never O(#records)."""
+    Replay uses this to spawn the client threads in client-id order, as
+    for a record list, and to let a finished client stop pulling the
+    shared iterator the moment its records run out — memory is
+    O(#clients), never O(#records)."""
 
     def scan(stream: TextIO) -> dict[int, int]:
         counts: dict[int, int] = {}

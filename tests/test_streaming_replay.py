@@ -1,8 +1,8 @@
-"""Streaming replay: parity with materialised replay, trace iterators,
-client scanning and the demultiplexer's bounded buffering."""
+"""The one replay engine: identical measurements whatever form the trace
+comes in, trace iterators, client scanning and the demultiplexer's bounded
+buffering."""
 
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -33,34 +33,59 @@ def replay_trace(seed=5, scale=0.12):
 # --------------------------------------------------------------------------- parity
 
 
-def test_streaming_replay_matches_materialised_byte_for_byte():
-    trace = replay_trace()
-    materialised = PatsySimulator(small_test_config(seed=5)).replay(trace, trace_name="t")
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace, trace_name="t")
-    assert streaming.operations == materialised.operations
-    assert streaming.errors == materialised.errors
-    assert streaming.cache_stats["hit_rate"] == materialised.cache_stats["hit_rate"]
-    assert streaming.blocks_written_to_disk == materialised.blocks_written_to_disk
-    # Not just close: the whole summary (latency means, percentiles,
-    # per-client shards) is byte-identical because the streaming demux
-    # presents the scheduler with the same execution.
-    assert streaming.latency.summary() == materialised.latency.summary()
-    assert streaming.summary() == materialised.summary()
-    assert streaming.latency.interval_reports == materialised.latency.interval_reports
+def _time_sorted(records):
+    return sorted(records, key=lambda record: record.timestamp)
 
 
-def test_streaming_replay_from_path_matches_materialised(tmp_path):
+def _replay(source, max_time=None):
+    simulator = PatsySimulator(small_test_config(seed=5))
+    simulator.scheduler.enable_schedule_hash()
+    return simulator.replay(source, trace_name="t", max_time=max_time)
+
+
+def _saved_trace(tmp_path):
+    """The replay trace saved to disk and read back, so every source form
+    holds exactly the same (saved-precision) records."""
     trace_path = tmp_path / "trace.tsv"
     save_trace(replay_trace(), trace_path)
-    materialised = PatsySimulator(small_test_config(seed=5)).replay(str(trace_path))
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(str(trace_path))
-    assert streaming.latency.summary() == materialised.latency.summary()
-    assert streaming.summary() == materialised.summary()
-    assert streaming.stream_stats["records_replayed"] == materialised.operations
+    return load_trace(trace_path), trace_path
+
+
+def test_replay_identical_for_every_source_form(tmp_path):
+    trace, trace_path = _saved_trace(tmp_path)
+    # Rotate the trace at a timestamp boundary: clients active in both
+    # halves now have their records out of time order, and a stable time
+    # sort restores the trace exactly.
+    split = next(
+        i
+        for i in range(len(trace) // 2, len(trace))
+        if trace[i - 1].timestamp < trace[i].timestamp
+    )
+    rotated = trace[split:] + trace[:split]
+    assert _time_sorted(rotated) == trace
+    assert any(
+        [r for r in rotated if r.client == client]
+        != _time_sorted(r for r in rotated if r.client == client)
+        for client in {r.client for r in trace}
+    )
+    forms = {
+        "list": trace,
+        "out-of-order list": rotated,
+        "path": str(trace_path),
+        "text stream": io.StringIO(trace_path.read_text()),
+    }
+    results = {name: _replay(source) for name, source in forms.items()}
+    reference = results["list"]
+    assert reference.operations == len(trace)
+    assert reference.schedule_digests
+    for name, result in results.items():
+        assert result.summary() == reference.summary(), name
+        assert result.latency.summary() == reference.latency.summary(), name
+        assert (
+            result.latency.interval_reports == reference.latency.interval_reports
+        ), name
+        assert result.schedule_digests == reference.schedule_digests, name
+        assert result.stream_stats["records_replayed"] == len(trace), name
 
 
 def test_streaming_replay_discovery_mode_runs_every_operation():
@@ -78,29 +103,26 @@ def test_streaming_replay_discovery_mode_runs_every_operation():
 
 def test_streaming_replay_bounded_buffering():
     trace = replay_trace()
-    result = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace)
+    result = PatsySimulator(small_test_config(seed=5)).replay(trace)
     assert 0 < result.stream_stats["peak_buffered_records"] < len(trace)
 
 
 def test_streaming_replay_rejects_empty_trace():
-    simulator = PatsySimulator(replace(small_test_config(), streaming=True))
+    simulator = PatsySimulator(small_test_config())
     with pytest.raises(TraceError):
         simulator.replay([])
     with pytest.raises(TraceError):
         PatsySimulator(small_test_config()).replay(iter([]))
 
 
-def test_streaming_replay_honours_max_time():
-    trace = replay_trace()
+def test_streaming_replay_honours_max_time(tmp_path):
+    trace, trace_path = _saved_trace(tmp_path)
     cutoff = trace[len(trace) // 2].timestamp
-    materialised = PatsySimulator(small_test_config(seed=5)).replay(trace, max_time=cutoff)
-    streaming = PatsySimulator(
-        replace(small_test_config(seed=5), streaming=True)
-    ).replay(trace, max_time=cutoff)
-    assert streaming.operations == materialised.operations
-    assert streaming.latency.summary() == materialised.latency.summary()
+    from_list = _replay(trace, max_time=cutoff)
+    from_path = _replay(str(trace_path), max_time=cutoff)
+    assert from_path.summary() == from_list.summary()
+    assert from_path.latency.summary() == from_list.latency.summary()
+    assert from_list.operations == sum(r.timestamp <= cutoff for r in trace)
 
 
 def test_per_client_latency_surfaced_in_summary():
@@ -180,9 +202,7 @@ def test_demux_early_finishing_client_does_not_buffer_the_tail():
     records += [
         TraceRecord(0.001 * (i + 1), 0, "stat", f"/f{i % 7}") for i in range(2_000)
     ]
-    result = PatsySimulator(
-        replace(small_test_config(seed=2), streaming=True)
-    ).replay(records)
+    result = PatsySimulator(small_test_config(seed=2)).replay(records)
     assert result.operations == len(records)
     assert result.stream_stats["peak_buffered_records"] < 100
 
