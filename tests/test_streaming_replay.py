@@ -88,6 +88,32 @@ def test_replay_identical_for_every_source_form(tmp_path):
         assert result.stream_stats["records_replayed"] == len(trace), name
 
 
+def test_streaming_replay_matches_materialised_byte_for_byte(tmp_path):
+    # A trace held in memory and the same trace streamed from an open text
+    # stream: not just close, the whole summary (latency means,
+    # percentiles, per-client shards) is byte-identical.
+    trace, trace_path = _saved_trace(tmp_path)
+    materialised = _replay(trace)
+    streaming = _replay(io.StringIO(trace_path.read_text()))
+    assert streaming.operations == materialised.operations
+    assert streaming.errors == materialised.errors
+    assert streaming.cache_stats["hit_rate"] == materialised.cache_stats["hit_rate"]
+    assert streaming.blocks_written_to_disk == materialised.blocks_written_to_disk
+    assert streaming.latency.summary() == materialised.latency.summary()
+    assert streaming.summary() == materialised.summary()
+    assert streaming.latency.interval_reports == materialised.latency.interval_reports
+    assert streaming.schedule_digests == materialised.schedule_digests
+
+
+def test_streaming_replay_from_path_matches_materialised(tmp_path):
+    trace, trace_path = _saved_trace(tmp_path)
+    materialised = _replay(trace)
+    streaming = _replay(str(trace_path))
+    assert streaming.latency.summary() == materialised.latency.summary()
+    assert streaming.summary() == materialised.summary()
+    assert streaming.stream_stats["records_replayed"] == materialised.operations
+
+
 def test_streaming_replay_discovery_mode_runs_every_operation():
     trace = replay_trace()
     baseline = PatsySimulator(small_test_config(seed=5)).replay(trace)
